@@ -1,4 +1,4 @@
-.PHONY: all check test fuzz fuzz-quick bench bench-json bench-quick bench-codecs perf-gate maybe-perf-gate server-bench ab-bench storm-bench paging-bench traces dict tune policy-check clean
+.PHONY: all check test fuzz fuzz-quick bench bench-json bench-quick bench-codecs perf-gate maybe-perf-gate server-bench ab-bench storm-bench paging-bench paging-baseline traces dict tune policy-check clean
 
 all:
 	dune build
@@ -71,15 +71,27 @@ storm-bench:
 # demand-paged execution sweep: run the profiled corpus under the pager
 # in source order vs profile-guided hot layout across resident budgets
 # (50/25/12% of the decompressed image), write the fault/stall/ratio
-# matrix to BENCH_paging.json, and gate it — chunked bytes must be
+# matrix to BENCH_paging.new.json, and gate it — chunked bytes must be
 # exactly invariant under reorder, the hot layout must strictly reduce
 # total faults on every point, and the 25%-budget stall overhead stays
 # under its pinned ceiling. Modelled cycles only: deterministic, so it
-# runs unconditionally in `make check`.
+# runs unconditionally in `make check`. Each point also records the cost
+# of one page-in (expanding every chunk of the hot image once): minor
+# words per chunk, gated at +5% over the committed BENCH_paging.json
+# (allocation is deterministic), and best-of-5 microseconds per chunk,
+# recorded for attribution but not gated. The committed file is the
+# fixed baseline: this target never rewrites it, so passing runs cannot
+# creep the bound upward. `make paging-baseline` rewrites it on purpose.
 paging-bench:
 	dune build bench/main.exe bench/perf_gate.exe
+	dune exec bench/main.exe -- --paging-json > BENCH_paging.new.json
+	dune exec bench/perf_gate.exe -- --paging BENCH_paging.new.json BENCH_paging.json
+
+# rewrite the committed paging baseline (after a deliberate change to the
+# modelled numbers or to page-in allocation; commit it with the reason)
+paging-baseline:
+	dune build bench/main.exe
 	dune exec bench/main.exe -- --paging-json > BENCH_paging.json
-	dune exec bench/perf_gate.exe -- --paging BENCH_paging.json
 
 # regenerate the golden scenario trace corpus (only needed when the
 # generators or the catalog change; the replays of these files are

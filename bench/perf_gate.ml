@@ -351,15 +351,22 @@ let paging_max_faults_row = 450.0
 let paging_brisc_ratio = 1.002
 let paging_wire_ratio = 1.003
 
-let paging_gate path =
+(* Page-in allocation: minor-heap words to expand every chunk of a
+   point's hot image once, per chunk. Allocation is deterministic for a
+   given build, so unlike the page-in wall time (recorded beside it,
+   for attribution only) it is gated against the committed baseline. *)
+let paging_words_tolerance = 1.05
+
+let paging_gate ~baseline path =
   let s = read_file path in
-  let get key =
+  let get_in s path key =
     match scan_all s key with
     | [] ->
       Printf.eprintf "perf-gate: no \"%s\" in %s\n" key path;
       exit 2
     | vs -> vs
   in
+  let get = get_in s path in
   let pair key_src key_hot =
     let a = get key_src and b = get key_hot in
     if List.length a <> List.length b then begin
@@ -437,6 +444,28 @@ let paging_gate path =
           (Printf.sprintf "point %d: overhead at 25%% budget %.4f <= %.2f"
              (i / 3) hot paging_max_overhead_25))
     (get "overhead_hot");
+  let words = get "page_in_minor_words_per_chunk" in
+  let us = get "page_in_us_per_chunk" in
+  if List.length us <> List.length words then begin
+    Printf.eprintf "perf-gate: page-in words/us count mismatch in %s\n" path;
+    exit 2
+  end;
+  let base =
+    get_in (read_file baseline) baseline "page_in_minor_words_per_chunk"
+  in
+  if List.length base <> List.length words then begin
+    Printf.eprintf "perf-gate: page-in point count differs from %s\n" baseline;
+    exit 2
+  end;
+  List.iteri
+    (fun i ((w, t), b) ->
+      check
+        (w <= b *. paging_words_tolerance)
+        (Printf.sprintf
+           "point %d: page-in %.1f words/chunk <= %.1f x %.2f (committed); \
+            %.2f us/chunk, not gated"
+           i w b paging_words_tolerance t))
+    (List.combine (List.combine words us) base);
   if !failures > 0 then begin
     Printf.printf "\nperf-gate: FAIL — %d paging floor(s) missed\n" !failures;
     exit 1
@@ -458,15 +487,16 @@ let () =
     storm_gate Sys.argv.(2);
     exit 0
   end;
-  if Array.length Sys.argv = 3 && Sys.argv.(1) = "--paging" then begin
-    paging_gate Sys.argv.(2);
+  if Array.length Sys.argv = 4 && Sys.argv.(1) = "--paging" then begin
+    paging_gate ~baseline:Sys.argv.(3) Sys.argv.(2);
     exit 0
   end;
   if Array.length Sys.argv <> 3 then begin
     prerr_endline
       "usage: perf_gate BASELINE.json FRESH.json | perf_gate --server \
        BENCH_server.json | perf_gate --ab BENCH_ab.json | perf_gate \
-       --storm BENCH_storm.json | perf_gate --paging BENCH_paging.json";
+       --storm BENCH_storm.json | perf_gate --paging FRESH.json \
+       BENCH_paging.json";
     exit 2
   end;
   let base, base_sizes = parse (read_file Sys.argv.(1)) in

@@ -75,83 +75,79 @@ let of_stmt s =
     let p, acc = pat_of_tree t [] in
     finish (Pret (ty, Some p)) acc
 
-exception Bad_lits of string
+(* [to_stmt] over literals pulled one at a time, in slot order, from
+   [next], instead of a prebuilt (class, literal) list. A literal of the
+   wrong kind does not stop the walk: every slot is still pulled, in the
+   same order, and the first mismatch is raised at the end — so a
+   failing [next] wins over a kind mismatch exactly as when the list is
+   built before [to_stmt] checks it. Top-level functions threading
+   [next] and the mismatch cell, so a statement allocates no closures:
+   this runs once per statement on every demand-paging fault. *)
+let pull_int (next : Op.lit_class -> lit) bad cls =
+  match next cls with
+  | Lint v -> v
+  | Lsym _ ->
+    if !bad = None then bad := Some "expected numeric literal";
+    0
 
-let pop_int cls = function
-  | (cls', Lint v) :: rest when cls' = cls -> (v, rest)
-  | _ -> raise (Bad_lits "expected numeric literal")
+let pull_sym (next : Op.lit_class -> lit) bad cls =
+  match next cls with
+  | Lsym s -> s
+  | Lint _ ->
+    if !bad = None then bad := Some "expected symbolic literal";
+    ""
 
-let pop_sym cls = function
-  | (cls', Lsym s) :: rest when cls' = cls -> (s, rest)
-  | _ -> raise (Bad_lits "expected symbolic literal")
-
-let rec tree_of_pat p lits =
-  match p with
-  | Pcnst (ty, w) ->
-    let v, lits = pop_int (Op.Lc_cnst w) lits in
-    (Tree.Cnst (ty, w, v), lits)
-  | Paddrl w ->
-    let v, lits = pop_int (Op.Lc_addrl w) lits in
-    (Tree.Addrl (w, v), lits)
-  | Paddrf w ->
-    let v, lits = pop_int (Op.Lc_addrf w) lits in
-    (Tree.Addrf (w, v), lits)
-  | Paddrg ->
-    let s, lits = pop_sym Op.Lc_addrg lits in
-    (Tree.Addrg s, lits)
-  | Pindir (ty, a) ->
-    let t, lits = tree_of_pat a lits in
-    (Tree.Indir (ty, t), lits)
+let rec pull_tree next bad = function
+  | Pcnst (ty, w) -> Tree.Cnst (ty, w, pull_int next bad (Op.Lc_cnst w))
+  | Paddrl w -> Tree.Addrl (w, pull_int next bad (Op.Lc_addrl w))
+  | Paddrf w -> Tree.Addrf (w, pull_int next bad (Op.Lc_addrf w))
+  | Paddrg -> Tree.Addrg (pull_sym next bad Op.Lc_addrg)
+  | Pindir (ty, a) -> Tree.Indir (ty, pull_tree next bad a)
   | Pbinop (ty, op, a, b) ->
-    let ta, lits = tree_of_pat a lits in
-    let tb, lits = tree_of_pat b lits in
-    (Tree.Binop (ty, op, ta, tb), lits)
-  | Pneg (ty, a) ->
-    let t, lits = tree_of_pat a lits in
-    (Tree.Neg (ty, t), lits)
-  | Pbcom (ty, a) ->
-    let t, lits = tree_of_pat a lits in
-    (Tree.Bcom (ty, t), lits)
-  | Pcvt (f, t_, a) ->
-    let t, lits = tree_of_pat a lits in
-    (Tree.Cvt (f, t_, t), lits)
-  | Pcall (ty, a) ->
-    let t, lits = tree_of_pat a lits in
-    (Tree.Call (ty, t), lits)
+    let ta = pull_tree next bad a in
+    let tb = pull_tree next bad b in
+    Tree.Binop (ty, op, ta, tb)
+  | Pneg (ty, a) -> Tree.Neg (ty, pull_tree next bad a)
+  | Pbcom (ty, a) -> Tree.Bcom (ty, pull_tree next bad a)
+  | Pcvt (f, t_, a) -> Tree.Cvt (f, t_, pull_tree next bad a)
+  | Pcall (ty, a) -> Tree.Call (ty, pull_tree next bad a)
+
+let to_stmt_pull sp (next : Op.lit_class -> lit) =
+  let bad = ref None in
+  let stmt =
+    match sp with
+    | Pasgn (ty, a, v) ->
+      let ta = pull_tree next bad a in
+      let tv = pull_tree next bad v in
+      Tree.Sasgn (ty, ta, tv)
+    | Parg (ty, p) -> Tree.Sarg (ty, pull_tree next bad p)
+    | Pscall (ty, p) -> Tree.Scall (ty, pull_tree next bad p)
+    | Pscnd (rel, ty, a, b) ->
+      let lbl = pull_sym next bad Op.Lc_label in
+      let ta = pull_tree next bad a in
+      let tb = pull_tree next bad b in
+      Tree.Scnd (rel, ty, ta, tb, lbl)
+    | Pjump -> Tree.Sjump (pull_sym next bad Op.Lc_label)
+    | Plabel -> Tree.Slabel (pull_sym next bad Op.Lc_label)
+    | Pret (ty, None) -> Tree.Sret (ty, None)
+    | Pret (ty, Some p) -> Tree.Sret (ty, Some (pull_tree next bad p))
+  in
+  match !bad with
+  | Some msg -> failwith ("Pattern.to_stmt: " ^ msg)
+  | None -> stmt
 
 let to_stmt sp lits =
-  try
-    let stmt, rest =
-      match sp with
-      | Pasgn (ty, a, v) ->
-        let ta, lits = tree_of_pat a lits in
-        let tv, lits = tree_of_pat v lits in
-        (Tree.Sasgn (ty, ta, tv), lits)
-      | Parg (ty, p) ->
-        let t, lits = tree_of_pat p lits in
-        (Tree.Sarg (ty, t), lits)
-      | Pscall (ty, p) ->
-        let t, lits = tree_of_pat p lits in
-        (Tree.Scall (ty, t), lits)
-      | Pscnd (rel, ty, a, b) ->
-        let lbl, lits = pop_sym Op.Lc_label lits in
-        let ta, lits = tree_of_pat a lits in
-        let tb, lits = tree_of_pat b lits in
-        (Tree.Scnd (rel, ty, ta, tb, lbl), lits)
-      | Pjump ->
-        let lbl, lits = pop_sym Op.Lc_label lits in
-        (Tree.Sjump lbl, lits)
-      | Plabel ->
-        let lbl, lits = pop_sym Op.Lc_label lits in
-        (Tree.Slabel lbl, lits)
-      | Pret (ty, None) -> (Tree.Sret (ty, None), lits)
-      | Pret (ty, Some p) ->
-        let t, lits = tree_of_pat p lits in
-        (Tree.Sret (ty, Some t), lits)
-    in
-    if rest <> [] then failwith "Pattern.to_stmt: leftover literals";
-    stmt
-  with Bad_lits msg -> failwith ("Pattern.to_stmt: " ^ msg)
+  let rest = ref lits in
+  let next cls =
+    match !rest with
+    | (cls', v) :: tl when cls' = cls ->
+      rest := tl;
+      v
+    | _ -> failwith "Pattern.to_stmt: literal list does not match the slots"
+  in
+  let stmt = to_stmt_pull sp next in
+  if !rest <> [] then failwith "Pattern.to_stmt: leftover literals";
+  stmt
 
 let lit_slots sp =
   (* Reuse of_stmt's ordering by rebuilding with dummy literals is not
@@ -355,33 +351,36 @@ let encode sp =
     walk p);
   Buffer.contents buf
 
-let decode s pos =
-  let next () =
-    if !pos >= String.length s then failwith "Pattern.decode: truncated";
-    let c = Char.code s.[!pos] in
-    incr pos;
-    if c >= opcode_count then failwith "Pattern.decode: bad opcode";
-    all_nodeops.(c)
-  in
-  let rec tree () =
-    match next () with
-    | Ncnst (ty, w) -> Pcnst (ty, w)
-    | Naddrl w -> Paddrl w
-    | Naddrf w -> Paddrf w
-    | Naddrg -> Paddrg
-    | Nindir ty -> Pindir (ty, tree ())
-    | Nbinop (ty, op) ->
-      let a = tree () in
-      let b = tree () in
-      Pbinop (ty, op, a, b)
-    | Nneg ty -> Pneg (ty, tree ())
-    | Nbcom ty -> Pbcom (ty, tree ())
-    | Ncvt (f, t) -> Pcvt (f, t, tree ())
-    | Ncall ty -> Pcall (ty, tree ())
-    | Nasgn _ | Narg _ | Nscall _ | Nscnd _ | Njump | Nlabel | Nret _ | Nretv ->
-      failwith "Pattern.decode: statement opcode inside a tree"
-  in
-  match next () with
+(* the node at [!pos]; input ends at [stop] *)
+let next_node s pos stop =
+  if !pos >= stop then failwith "Pattern.decode: truncated";
+  let c = Char.code s.[!pos] in
+  incr pos;
+  if c >= opcode_count then failwith "Pattern.decode: bad opcode";
+  all_nodeops.(c)
+
+let rec decode_tree s pos stop =
+  match next_node s pos stop with
+  | Ncnst (ty, w) -> Pcnst (ty, w)
+  | Naddrl w -> Paddrl w
+  | Naddrf w -> Paddrf w
+  | Naddrg -> Paddrg
+  | Nindir ty -> Pindir (ty, decode_tree s pos stop)
+  | Nbinop (ty, op) ->
+    let a = decode_tree s pos stop in
+    let b = decode_tree s pos stop in
+    Pbinop (ty, op, a, b)
+  | Nneg ty -> Pneg (ty, decode_tree s pos stop)
+  | Nbcom ty -> Pbcom (ty, decode_tree s pos stop)
+  | Ncvt (f, t) -> Pcvt (f, t, decode_tree s pos stop)
+  | Ncall ty -> Pcall (ty, decode_tree s pos stop)
+  | Nasgn _ | Narg _ | Nscall _ | Nscnd _ | Njump | Nlabel | Nret _ | Nretv ->
+    failwith "Pattern.decode: statement opcode inside a tree"
+
+let decode ?stop s pos =
+  let stop = match stop with Some e -> e | None -> String.length s in
+  let tree () = decode_tree s pos stop in
+  match next_node s pos stop with
   | Nasgn ty ->
     let a = tree () in
     let v = tree () in

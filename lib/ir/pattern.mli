@@ -40,6 +40,13 @@ val to_stmt : spat -> (Op.lit_class * lit) list -> Tree.stmt
 (** Inverse of {!of_stmt}. @raise Failure if the literal list does not
     match the pattern's wildcard slots. *)
 
+val to_stmt_pull : spat -> (Op.lit_class -> lit) -> Tree.stmt
+(** [to_stmt_pull sp next] is [to_stmt sp (List.map (fun c -> (c, next
+    c)) (lit_slots sp))] without building either list: [next] is called
+    once per slot, in slot order, and any exception it raises escapes
+    first. @raise Failure on a literal of the wrong kind (numeric where
+    the slot is symbolic, or the reverse), once every slot is pulled. *)
+
 val lit_slots : spat -> Op.lit_class list
 (** The classes of the pattern's wildcard slots, in prefix order. *)
 
@@ -50,9 +57,10 @@ val spat_to_string : spat -> string
 val encode : spat -> string
 (** One byte per operator node, prefix order. *)
 
-val decode : string -> int ref -> spat
-(** Read one pattern at [!pos], advancing [pos].
-    @raise Failure on malformed input. *)
+val decode : ?stop:int -> string -> int ref -> spat
+(** Read one pattern at [!pos], advancing [pos]; input ends at [stop]
+    (default: the end of the string), so a pattern embedded in a larger
+    buffer decodes in place. @raise Failure on malformed input. *)
 
 val opcode_count : int
 (** Size of the node-operator alphabet (exported for stream headers). *)

@@ -59,14 +59,24 @@ let default_paging =
   { (Paging.default_config ~resident_pages:0) with
     Paging.decompress_us_per_page = 100.0 }
 
+(* One chunk's page-in, the work a fault does per chunk of the faulting
+   page: expand the chunk, generate its VM code, size it and prepare it
+   for dispatch. *)
+let page_in (t : Wire.Chunked.t) i =
+  let f = Wire.Chunked.decompress_at t i in
+  let vf =
+    Vm.Codegen.gen_func
+      { Ir.Tree.globals = Wire.Chunked.globals t; funcs = [] }
+      f
+  in
+  (Vm.Encode.func_size vf, Vm.Interp.prepare_func vf)
+
 (* decompressed VM footprint of the whole image: what "fully resident"
    costs, and the denominator budget fractions are quoted against *)
 let vm_image_bytes (t : Wire.Chunked.t) =
   let total = ref 0 in
   for i = 0 to Wire.Chunked.chunk_count t - 1 do
-    let f = Wire.Chunked.decompress_at t i in
-    let solo = { Ir.Tree.globals = []; funcs = [] } in
-    total := !total + Vm.Encode.func_size (Vm.Codegen.gen_func solo f)
+    total := !total + fst (page_in t i)
   done;
   !total
 
@@ -84,7 +94,6 @@ let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ())
   for i = n - 1 downto 0 do
     members.(page_of.(i)) <- i :: members.(page_of.(i))
   done;
-  let ir_globals = { Ir.Tree.globals = (Wire.Chunked.globals t); funcs = [] } in
   let isa_globals =
     List.map
       (fun (g : Ir.Tree.global) -> (g.Ir.Tree.gname, g.Ir.Tree.gsize, g.Ir.Tree.ginit))
@@ -95,9 +104,8 @@ let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ())
     let frames =
       List.map
         (fun i ->
-          let f = Wire.Chunked.decompress_at t i in
-          let vf = Vm.Codegen.gen_func ir_globals f in
-          (i, Vm.Encode.func_size vf, Vm.Interp.prepare_func vf))
+          let size, frame = page_in t i in
+          (i, size, frame))
         members.(p)
     in
     let cost = List.fold_left (fun a (_, sz, _) -> a + sz) 0 frames in
@@ -131,16 +139,8 @@ let run_vm ?(cfg = config ~budget_bytes:(64 * 1024) ())
     (* a session: the program runs [repeat] times, the code cache
        surviving across runs (fresh memory and globals each time, so
        every repeat computes the same result) *)
-    let res = ref None in
-    for _ = 1 to repeat do
-      res :=
-        Some
-          (Vm.Interp.run_code ?mem_size ?input ?fuel ?entry
-             { Vm.Interp.names; globals = isa_globals; fetch })
-    done;
-    match !res with
-    | Some r -> r
-    | None -> invalid_arg "Paged.run_vm: repeat must be >= 1"
+    Vm.Interp.run_session ?mem_size ?input ?fuel ?entry ~repeat
+      { Vm.Interp.names; globals = isa_globals; fetch }
   with
   | res ->
     let stats = Vm.Pager.stats pager in

@@ -57,6 +57,13 @@ val error_to_string : error -> string
 
 val fault_time_s : Paging.config -> Vm.Pager.stats -> float
 
+val page_in : Wire.Chunked.t -> int -> int * Vm.Interp.frame
+(** [page_in t i] is what a fault pays for chunk [i] of the faulting
+    page: decompress it, generate its VM code, and return the code's
+    encoded size (its resident cost) with the frame the interpreter
+    dispatches on. @raise Support.Decode_error.Fail on a corrupt chunk
+    and [Vm.Codegen.Codegen_error] on code it cannot generate. *)
+
 val vm_image_bytes : Wire.Chunked.t -> int
 (** Total decompressed VM footprint (sum of encoded function sizes) —
     what fully-resident costs, and the denominator budget fractions

@@ -287,7 +287,11 @@ let report t ~cache:cs =
                     })
                   c.stage_names;
             })
-      (Artifact.all ())
+      (* registry order: the context-free artifacts, then the
+         contexted representations (shared-dictionary and delta
+         serves), so every served byte and every compression is in the
+         report and in [total_bytes_served] *)
+      (Artifact.all () @ List.map fst (Artifact.contexted ()))
   in
   {
     requests = t.requests;

@@ -74,6 +74,8 @@ type report = {
   cache : Cache.stats;
   cache_hit_rate : float;
   by_repr : repr_report list;
+      (** every representation with activity, contexted ones
+          (shared-dictionary, delta) included, in registry order *)
   total_bytes_served : int;  (** full-image responses + session traffic *)
   sessions_opened : int;
   chunks_served : int;

@@ -87,40 +87,57 @@ module Writer = struct
 end
 
 module Reader = struct
-  type t = { data : Bytes.t; mutable pos : int (* bit position *) }
+  type t = {
+    data : Bytes.t;
+    first : int;  (* byte offset of the stream within [data] *)
+    limit : int;  (* byte offset one past the stream's end *)
+    mutable pos : int;  (* bit position, relative to [first] *)
+  }
 
-  let of_bytes b = { data = b; pos = 0 }
+  let of_bytes b = { data = b; first = 0; limit = Bytes.length b; pos = 0 }
   let of_string s = of_bytes (Bytes.unsafe_of_string s)
 
-  let total_bits r = Bytes.length r.data * 8
+  let of_substring s ~pos ~len =
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg "Bitio.Reader.of_substring";
+    { data = Bytes.unsafe_of_string s; first = pos; limit = pos + len; pos = 0 }
+
+  let total_bits r = (r.limit - r.first) * 8
   let bits_remaining r = total_bits r - r.pos
   let bit_position r = r.pos
 
   let get_bit r =
     if r.pos >= total_bits r then failwith "Bitio.Reader: out of bits";
-    let byte = Char.code (Bytes.unsafe_get r.data (r.pos lsr 3)) in
+    let byte =
+      Char.code (Bytes.unsafe_get r.data (r.first + (r.pos lsr 3)))
+    in
     let bit = (byte lsr (r.pos land 7)) land 1 in
     r.pos <- r.pos + 1;
     bit
 
+  external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
   (* Word-at-a-time refill: gather the next [n] bits (LSB-first) without
-     consuming them. Bits past the end of the data read as zero, which
+     consuming them. Bits past the end of the stream read as zero, which
      lets a table-driven Huffman decoder probe a full root-table index
      near the end of the stream and reject truncation only when the
-     decoded codeword actually overruns. At most 5 bytes are touched
-     (7 offset bits + 32 field bits = 39 bits), well inside a native
-     int. *)
+     decoded codeword actually overruns. At most 5 bytes are needed (7
+     offset bits + 32 field bits = 39 bits); away from the end of the
+     stream one unaligned 64-bit load fetches them all. *)
   let peek_bits r n =
     if n < 0 || n > 32 then invalid_arg "Bitio.Reader.peek_bits";
-    let len = Bytes.length r.data in
-    let base = r.pos lsr 3 in
+    let base = r.first + (r.pos lsr 3) in
     let off = r.pos land 7 in
-    let last = min (base + ((off + n + 7) lsr 3)) len - 1 in
-    let acc = ref 0 in
-    for i = last downto base do
-      acc := (!acc lsl 8) lor Char.code (Bytes.unsafe_get r.data i)
-    done;
-    (!acc lsr off) land ((1 lsl n) - 1)
+    if (not Sys.big_endian) && base + 8 <= r.limit then
+      (Int64.to_int (get64u r.data base) lsr off) land ((1 lsl n) - 1)
+    else begin
+      let last = min (base + ((off + n + 7) lsr 3)) r.limit - 1 in
+      let acc = ref 0 in
+      for i = last downto base do
+        acc := (!acc lsl 8) lor Char.code (Bytes.unsafe_get r.data i)
+      done;
+      (!acc lsr off) land ((1 lsl n) - 1)
+    end
 
   let advance_bits r n =
     if n < 0 || r.pos + n > total_bits r then
@@ -142,6 +159,31 @@ module Reader = struct
       !v
     end
 
+  (* [count] fields of [width] bits each, several per word-sized read;
+     the same values, and the same end position, as [count] calls of
+     [get_bits r width] *)
+  let get_fields r ~count ~width =
+    if width < 1 || width > 16 then invalid_arg "Bitio.Reader.get_fields";
+    let out = Array.make count 0 in
+    let per = 32 / width in
+    let mask = (1 lsl width) - 1 in
+    let i = ref 0 in
+    while !i < count do
+      if count - !i >= per && r.pos + (per * width) <= total_bits r then begin
+        let v = ref (get_bits r (per * width)) in
+        for k = 0 to per - 1 do
+          Array.unsafe_set out (!i + k) (!v land mask);
+          v := !v lsr width
+        done;
+        i := !i + per
+      end
+      else begin
+        out.(!i) <- get_bits r width;
+        incr i
+      end
+    done;
+    out
+
   let get_bits_msb r n =
     if n < 0 || n > 56 then invalid_arg "Bitio.Reader.get_bits_msb";
     let v = ref 0 in
@@ -162,9 +204,8 @@ module Reader = struct
     if n < 0 then invalid_arg "Bitio.Reader.get_string";
     if r.pos land 7 <> 0 then
       invalid_arg "Bitio.Reader.get_string: reader not byte-aligned";
-    let base = r.pos lsr 3 in
-    if base + n > Bytes.length r.data then
-      failwith "Bitio.Reader: out of bits";
+    let base = r.first + (r.pos lsr 3) in
+    if base + n > r.limit then failwith "Bitio.Reader: out of bits";
     let s = Bytes.sub_string r.data base n in
     r.pos <- r.pos + (n * 8);
     s

@@ -47,11 +47,23 @@ module Reader : sig
   val of_bytes : Bytes.t -> t
   val of_string : string -> t
 
+  val of_substring : string -> pos:int -> len:int -> t
+  (** A reader over bytes [pos, pos + len) of the string, without
+      copying them. Positions it reports ({!bit_position}) and the end
+      of input it sees are those of the substring alone, exactly as for
+      [of_string (String.sub s pos len)].
+      @raise Invalid_argument when the range is outside the string. *)
+
   val get_bit : t -> int
   (** Next bit, LSB-first within bytes. @raise Failure on exhaustion. *)
 
   val get_bits : t -> int -> int
   (** [get_bits r n] reads [n] bits LSB-first, [n] within [0, 56]. *)
+
+  val get_fields : t -> count:int -> width:int -> int array
+  (** [count] consecutive [width]-bit fields ([width] within [1, 16]),
+      as [count] calls of [get_bits r width] would read them, but
+      several fields per word-sized read. *)
 
   val get_bits_msb : t -> int -> int
   (** [get_bits_msb r n] reads [n] bits MSB-first (Huffman order). *)

@@ -76,16 +76,27 @@ let check_count r n what =
       (Printf.sprintf "%s count %d exceeds remaining %d bytes" what n
          (remaining r))
 
-let raw r ?(what = "input") n =
+(* consume the next [n] bytes, returning their offset in [src r] *)
+let skip r ?(what = "input") n =
   if n < 0 || !(r.pos) + n > String.length r.src then
     fail r Decode_error.Truncated ("truncated " ^ what);
-  let s = String.sub r.src !(r.pos) n in
-  r.pos := !(r.pos) + n;
-  s
+  let p = !(r.pos) in
+  r.pos := p + n;
+  p
+
+let raw r ?what n =
+  let p = skip r ?what n in
+  String.sub r.src p n
 
 let str ?what r =
   let n = u r in
   raw r ?what n
+
+(* [str] without the copy: the (offset, length) of the field's bytes
+   within [src r] *)
+let field ?what r =
+  let n = u r in
+  (skip r ?what n, n)
 
 let byte r ?(what = "input") () =
   if !(r.pos) >= String.length r.src then

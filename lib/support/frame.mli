@@ -60,6 +60,10 @@ val raw : reader -> ?what:string -> int -> string
 val str : ?what:string -> reader -> string
 (** Length-prefixed (ULEB128) string. *)
 
+val field : ?what:string -> reader -> int * int
+(** As {!str} but returns the field's [(offset, length)] within
+    {!src} instead of copying its bytes; same checks, same errors. *)
+
 val byte : reader -> ?what:string -> unit -> char
 val expect_magic : reader -> string -> unit
 val expect_end : reader -> string -> unit

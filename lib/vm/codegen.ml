@@ -5,18 +5,25 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Codegen_error m)) fmt
 let max_reg_args = 6
 
 (* evaluation registers: n4..n13, callee-saved (n14=sp, n15=ra) *)
-let eval_regs = List.init 10 (fun i -> i + 4)
+let first_eval_reg = 4
+let n_eval_regs = 10
 
 type slot = Vreg of Isa.reg | Vspill of int  (* scratch slot index *)
 
+(* The value stack and the free-register list are stacks in arrays, and
+   the set of registers ever allocated is a bit mask: code generation
+   runs on every demand-paging fault, and these change on nearly every
+   emitted instruction. *)
 type ctx = {
   features : Isa.feature_set;
   frame_size : int;            (* IR locals *)
   nformals : int;
   mutable out : Isa.instr list;   (* reversed *)
-  mutable stack : slot list;      (* value stack, top first *)
-  mutable free : Isa.reg list;    (* free eval registers *)
-  mutable used : Isa.reg list;    (* eval regs ever allocated *)
+  mutable stack : slot array;     (* value stack, deepest first ... *)
+  mutable depth : int;            (* ... top at [depth - 1] *)
+  mutable free : Isa.reg array;   (* free eval registers, LIFO ... *)
+  mutable nfree : int;            (* ... next allocated at [nfree - 1] *)
+  mutable used : int;             (* bit r set: eval reg r ever allocated *)
   mutable nscratch : int;         (* scratch spill slots allocated *)
   mutable makes_call : bool;
   mutable next_lbl : int;
@@ -33,39 +40,52 @@ let fresh_scratch ctx =
   ctx.nscratch <- k + 1;
   k
 
-(* Allocate an eval register; if none are free, spill the *deepest*
-   register-resident stack slot to a scratch frame slot. *)
+(* Allocate an eval register (the most recently freed first); if none
+   are free, spill the *deepest* register-resident stack slot to a
+   scratch frame slot. *)
 let rec alloc_reg ctx =
-  match ctx.free with
-  | r :: rest ->
-    ctx.free <- rest;
-    if not (List.mem r ctx.used) then ctx.used <- r :: ctx.used;
+  if ctx.nfree > 0 then begin
+    ctx.nfree <- ctx.nfree - 1;
+    let r = ctx.free.(ctx.nfree) in
+    ctx.used <- ctx.used lor (1 lsl r);
     r
-  | [] ->
-    (* find deepest Vreg in stack *)
-    let rec spill_deepest rev_acc = function
-      | [] -> fail "expression too complex: no spillable value"
-      | Vreg r :: rest ->
-        let k = fresh_scratch ctx in
-        emit ctx (Isa.St (Isa.W, r, scratch_off ctx k, Isa.sp));
-        ctx.free <- [ r ];
-        List.rev_append rev_acc (Vspill k :: rest)
-      | (Vspill _ as s) :: rest -> spill_deepest (s :: rev_acc) rest
+  end
+  else begin
+    let rec deepest_reg i =
+      if i = ctx.depth then fail "expression too complex: no spillable value"
+      else match ctx.stack.(i) with Vreg r -> (i, r) | Vspill _ -> deepest_reg (i + 1)
     in
-    (* stack is top-first; deepest is at the end *)
-    ctx.stack <- List.rev (spill_deepest [] (List.rev ctx.stack));
+    let i, r = deepest_reg 0 in
+    let k = fresh_scratch ctx in
+    emit ctx (Isa.St (Isa.W, r, scratch_off ctx k, Isa.sp));
+    ctx.stack.(i) <- Vspill k;
+    ctx.free.(0) <- r;
+    ctx.nfree <- 1;
     alloc_reg ctx
+  end
 
-let free_reg ctx r = ctx.free <- r :: ctx.free
+let grow a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
-let push ctx slot = ctx.stack <- slot :: ctx.stack
+let free_reg ctx r =
+  ctx.free <- grow ctx.free ctx.nfree 0;
+  ctx.free.(ctx.nfree) <- r;
+  ctx.nfree <- ctx.nfree + 1
+
+let push ctx slot =
+  ctx.stack <- grow ctx.stack ctx.depth slot;
+  ctx.stack.(ctx.depth) <- slot;
+  ctx.depth <- ctx.depth + 1
 
 let pop ctx =
-  match ctx.stack with
-  | [] -> fail "internal: value stack underflow"
-  | s :: rest ->
-    ctx.stack <- rest;
-    s
+  if ctx.depth = 0 then fail "internal: value stack underflow";
+  ctx.depth <- ctx.depth - 1;
+  ctx.stack.(ctx.depth)
 
 (* Pop a slot into a register (reloading if spilled). *)
 let pop_reg ctx =
@@ -257,12 +277,13 @@ and gen_call ctx _ty callee =
       eval ctx callee;
       Some (pop_reg ctx)
   in
-  let args = List.rev ctx.stack in
-  ctx.stack <- [];
-  let nargs = List.length args in
+  (* the pending arguments, deepest first *)
+  let nargs = ctx.depth in
+  ctx.depth <- 0;
   if nargs > max_reg_args then
     fail "calls with more than %d arguments are not supported" max_reg_args;
-  List.iteri
+  let args = Array.sub ctx.stack 0 nargs in
+  Array.iteri
     (fun i slot ->
       match slot with
       | Vreg r ->
@@ -355,9 +376,12 @@ let gen_func ?(features = Isa.full_risc) (_prog : Ir.Tree.program)
       frame_size = f.Ir.Tree.frame_size;
       nformals;
       out = [];
-      stack = [];
-      free = eval_regs;
-      used = [];
+      stack = Array.make 8 (Vspill 0);
+      depth = 0;
+      (* n4 on top: allocated first *)
+      free = Array.init 16 (fun i -> first_eval_reg + n_eval_regs - 1 - i);
+      nfree = n_eval_regs;
+      used = 0;
       nscratch = 0;
       makes_call = false;
       next_lbl = 0;
@@ -366,11 +390,10 @@ let gen_func ?(features = Isa.full_risc) (_prog : Ir.Tree.program)
   (* Without register-displacement addressing the prologue needs a
      scratch register to address the formal spill slots; reserve n13 so
      it is saved before being clobbered. *)
-  if (not features.Isa.has_reg_disp) && nformals > 0 then ctx.used <- [ 13 ];
+  if (not features.Isa.has_reg_disp) && nformals > 0 then ctx.used <- 1 lsl 13;
   List.iter (gen_stmt ctx) f.Ir.Tree.body;
-  let body = List.rev ctx.out in
   (* frame layout now fully known *)
-  let saved_regs = List.sort_uniq compare ctx.used in
+  let saved_regs = List.filter (fun r -> ctx.used land (1 lsl r) <> 0) (List.init 16 Fun.id) in
   let save_base = scratch_off ctx ctx.nscratch in
   let nsaved = List.length saved_regs in
   let ra_slot = save_base + (4 * nsaved) in
@@ -396,7 +419,10 @@ let gen_func ?(features = Isa.full_risc) (_prog : Ir.Tree.program)
     @ List.mapi (fun i r -> Isa.Reload (r, save_base + (4 * i))) saved_regs
     @ [ Isa.Exit frame_total; Isa.Rjr ]
   in
-  { Isa.name = f.Ir.Tree.fname; code = prologue @ body @ epilogue }
+  (* [ctx.out] is the body reversed: one pass puts it in order in front
+     of the epilogue *)
+  { Isa.name = f.Ir.Tree.fname;
+    code = prologue @ List.rev_append ctx.out epilogue }
 
 let gen_program ?(features = Isa.full_risc) (prog : Ir.Tree.program) :
     Isa.vprogram =

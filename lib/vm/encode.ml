@@ -92,26 +92,63 @@ let field_bits = function
   | Fimm v -> 8 * imm_bytes v
   | Flab _ | Fsym _ -> 8
 
-let encoded_size i =
+(* 1 opcode byte, register nibbles packed two to a byte, then one byte
+   per label/symbol field and [imm_bytes] per immediate — the byte
+   count of [fields i], computed without building the field list *)
+let encoded_size (i : Isa.instr) =
+  let size ~regs ~other = 1 + ((regs + 1) / 2) + other in
   match i with
   | Isa.Label _ -> 0
-  | _ ->
-    let fs = fields i in
-    let reg_nibbles =
-      List.length (List.filter (fun f -> match f with Freg _ -> true | _ -> false) fs)
-    in
-    let other_bytes =
-      List.fold_left
-        (fun acc f ->
-          match f with
-          | Freg _ -> acc
-          | Fimm v -> acc + imm_bytes v
-          | Flab _ | Fsym _ -> acc + 1)
-        0 fs
-    in
-    1 + ((reg_nibbles + 1) / 2) + other_bytes
+  | Isa.Ld (_, _, imm, _) | Isa.St (_, _, imm, _) ->
+    size ~regs:2 ~other:(imm_bytes imm)
+  | Isa.Ldx _ | Isa.Stx _ | Isa.Mov _ | Isa.Neg _ | Isa.Not _ | Isa.Sext _ ->
+    size ~regs:2 ~other:0
+  | Isa.Li (_, imm) -> size ~regs:1 ~other:(imm_bytes imm)
+  | Isa.La _ -> size ~regs:1 ~other:1
+  | Isa.Alu _ -> size ~regs:3 ~other:0
+  | Isa.Alui (_, _, _, imm) -> size ~regs:2 ~other:(imm_bytes imm)
+  | Isa.Br _ -> size ~regs:2 ~other:1
+  | Isa.Bri (_, _, imm, _) -> size ~regs:1 ~other:(imm_bytes imm + 1)
+  | Isa.Jmp _ | Isa.Call _ -> size ~regs:0 ~other:1
+  | Isa.Callr _ -> size ~regs:1 ~other:0
+  | Isa.Rjr -> size ~regs:0 ~other:0
+  | Isa.Enter k | Isa.Exit k -> size ~regs:2 ~other:(imm_bytes k)
+  | Isa.Spill (_, off) | Isa.Reload (_, off) ->
+    size ~regs:2 ~other:(imm_bytes off)
 
-let func_size f = List.fold_left (fun acc i -> acc + encoded_size i) 0 f.Isa.code
+let func_size f =
+  let rec go acc = function
+    | [] -> acc
+    | i :: rest -> go (acc + encoded_size i) rest
+  in
+  go 0 f.Isa.code
+
+(* The original field-list accounting, kept as the oracle [encoded_size]
+   and [func_size] are differential-tested against. *)
+module Reference = struct
+  let encoded_size i =
+    match i with
+    | Isa.Label _ -> 0
+    | _ ->
+      let fs = fields i in
+      let reg_nibbles =
+        List.length
+          (List.filter (fun f -> match f with Freg _ -> true | _ -> false) fs)
+      in
+      let other_bytes =
+        List.fold_left
+          (fun acc f ->
+            match f with
+            | Freg _ -> acc
+            | Fimm v -> acc + imm_bytes v
+            | Flab _ | Fsym _ -> acc + 1)
+          0 fs
+      in
+      1 + ((reg_nibbles + 1) / 2) + other_bytes
+
+  let func_size f =
+    List.fold_left (fun acc i -> acc + encoded_size i) 0 f.Isa.code
+end
 
 let program_size p = List.fold_left (fun acc f -> acc + func_size f) 0 p.Isa.funcs
 

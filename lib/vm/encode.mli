@@ -42,6 +42,14 @@ val func_size : Isa.vfunc -> int
 val program_size : Isa.vprogram -> int
 (** Code bytes only (what the paper's "original input" counts). *)
 
+module Reference : sig
+  val encoded_size : Isa.instr -> int
+  val func_size : Isa.vfunc -> int
+  (** The original accounting over {!fields} lists; the differential
+      oracle for {!encoded_size} and {!func_size}, which count the same
+      bytes without building the lists. *)
+end
+
 val encode_program : Isa.vprogram -> string
 (** Full self-describing binary image: symbol table, globals, and each
     function's label table and code. *)

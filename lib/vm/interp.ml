@@ -45,11 +45,22 @@ type paged_code = {
   fetch : int -> frame;
 }
 
-let run_code ?(mem_size = default_mem_size) ?(input = "")
-    ?(fuel = 200_000_000) ?(entry = "main") ?(on_call = fun (_ : int) -> ())
-    ?(on_label = fun (_ : int) (_ : string) -> ()) (code : paged_code) : result
-    =
-  let mem = Bytes.make mem_size '\000' in
+(* Return addresses pack (function index, resume instruction index) into
+   one word a [Spill] can store as 32 bits: 2^30 marks a return address
+   (apart from the halt sentinel), the function index takes bits 20-29
+   and the instruction index bits 0-19. A program with more functions,
+   or a function with more instructions, than those fields hold would
+   return into the wrong code, so it traps instead: the function count
+   at entry, the instruction count when a function is fetched. *)
+let ra_func_bits = 10
+let ra_instr_bits = 20
+let max_funcs = 1 lsl ra_func_bits
+let max_instrs = (1 lsl ra_instr_bits) - 1
+
+(* one run on [mem], which must be all zero *)
+let exec_code ~mem ~input ~fuel ~entry ~on_call ~on_label (code : paged_code)
+    : result =
+  let mem_size = Bytes.length mem in
   let globals, _data_end =
     layout_globals { Isa.globals = code.globals; funcs = [] }
   in
@@ -69,6 +80,9 @@ let run_code ?(mem_size = default_mem_size) ?(input = "")
           bytes)
     code.globals;
   let nfuncs = Array.length code.names in
+  if nfuncs > max_funcs then
+    fail "program has %d functions; return addresses hold at most %d" nfuncs
+      max_funcs;
   let fidx_of_name = Hashtbl.create 32 in
   Array.iteri (fun i n -> Hashtbl.add fidx_of_name n i) code.names;
   let addr_of_sym name =
@@ -162,11 +176,22 @@ let run_code ?(mem_size = default_mem_size) ?(input = "")
     | _ -> fail "unknown builtin %s" name
   in
   (* call stack of (function idx, return instr idx) encoded in ra as
-     fidx * 2^24 + iidx + 2^30 to distinguish from halt *)
-  let encode_ra fidx iidx = (1 lsl 30) lor (fidx lsl 20) lor iidx in
+     2^30 + fidx * 2^20 + iidx, the 2^30 bit telling it from halt; the
+     entry and [fetch] checks keep both fields in range *)
+  let encode_ra fidx iidx =
+    (1 lsl 30) lor (fidx lsl ra_instr_bits) lor iidx
+  in
   let decode_ra v =
     if v < 0 || v land (1 lsl 30) = 0 then None
-    else Some ((v lsr 20) land 0x3FF, v land 0xFFFFF)
+    else
+      Some ((v lsr ra_instr_bits) land (max_funcs - 1), v land max_instrs)
+  in
+  let fetch i =
+    let frame = code.fetch i in
+    if Array.length frame.flat > max_instrs then
+      fail "%s has %d instructions; return addresses hold at most %d"
+        code.names.(i) (Array.length frame.flat) max_instrs;
+    frame
   in
   let entry_idx =
     match Hashtbl.find_opt fidx_of_name entry with
@@ -176,7 +201,7 @@ let run_code ?(mem_size = default_mem_size) ?(input = "")
   let fidx = ref entry_idx in
   let pc = ref 0 in
   on_call entry_idx;
-  let cur = ref (code.fetch entry_idx) in
+  let cur = ref (fetch entry_idx) in
   let running = ref true in
   let do_call target_name =
     if List.mem target_name Isa.builtins && not (Hashtbl.mem fidx_of_name target_name)
@@ -188,7 +213,7 @@ let run_code ?(mem_size = default_mem_size) ?(input = "")
         fidx := ti;
         pc := 0;
         on_call ti;
-        cur := code.fetch ti
+        cur := fetch ti
       | None -> fail "call to unknown function %s" target_name
     end
   in
@@ -197,7 +222,7 @@ let run_code ?(mem_size = default_mem_size) ?(input = "")
     fidx := ti;
     pc := 0;
     on_call ti;
-    cur := code.fetch ti
+    cur := fetch ti
   in
   while !running do
     if !steps >= fuel then fail "fuel exhausted after %d steps" !steps;
@@ -243,7 +268,7 @@ let run_code ?(mem_size = default_mem_size) ?(input = "")
         if rf >= nfuncs then fail "return to non-function index %d" rf;
         fidx := rf;
         pc := ri;
-        cur := code.fetch rf
+        cur := fetch rf
       | None -> running := false)
     | Isa.Enter k -> regs.(Isa.sp) <- regs.(Isa.sp) - k
     | Isa.Exit k -> regs.(Isa.sp) <- regs.(Isa.sp) + k
@@ -251,6 +276,32 @@ let run_code ?(mem_size = default_mem_size) ?(input = "")
     | Isa.Reload (r, off) -> regs.(r) <- load Isa.W (regs.(Isa.sp) + off)
   done;
   { exit_code = regs.(0); output = Buffer.contents output; steps = !steps }
+
+let run_code ?(mem_size = default_mem_size) ?(input = "")
+    ?(fuel = 200_000_000) ?(entry = "main") ?(on_call = fun (_ : int) -> ())
+    ?(on_label = fun (_ : int) (_ : string) -> ()) (code : paged_code) : result
+    =
+  exec_code ~mem:(Bytes.make mem_size '\000') ~input ~fuel ~entry ~on_call
+    ~on_label code
+
+(* The repeats share one buffer, cleared between them: a clear costs a
+   fraction of allocating 4 MiB afresh, which also drives the major
+   GC. *)
+let run_session ?(mem_size = default_mem_size) ?(input = "")
+    ?(fuel = 200_000_000) ?(entry = "main") ~repeat (code : paged_code) :
+    result =
+  if repeat < 1 then invalid_arg "Interp.run_session: repeat must be >= 1";
+  let mem = Bytes.make mem_size '\000' in
+  let on_call (_ : int) = () and on_label (_ : int) (_ : string) = () in
+  let rec go k =
+    let res = exec_code ~mem ~input ~fuel ~entry ~on_call ~on_label code in
+    if k = repeat then res
+    else begin
+      Bytes.fill mem 0 mem_size '\000';
+      go (k + 1)
+    end
+  in
+  go 1
 
 let run ?mem_size ?input ?fuel ?entry ?on_call ?on_label (p : Isa.vprogram) :
     result =

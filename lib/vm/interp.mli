@@ -41,7 +41,9 @@ val run :
     [on_label] fires with (function index, label) each time a [Label]
     executes — together they are the block-level profile the
     hot-layout pass consumes (see {!Profile} and {!Layout}).
-    @raise Runtime_error on traps, unknown entry, or fuel exhaustion. *)
+    @raise Runtime_error on traps, unknown entry, fuel exhaustion, or a
+    program whose return addresses would not fit their word: more than
+    1024 functions, or a function of 2{^20} or more instructions. *)
 
 (** {2 Demand-paged execution}
 
@@ -80,6 +82,21 @@ val run_code :
   result
 (** As {!run}, over fetched code. [run p] is [run_code] with an eager
     array fetch. *)
+
+val run_session :
+  ?mem_size:int ->
+  ?input:string ->
+  ?fuel:int ->
+  ?entry:string ->
+  repeat:int ->
+  paged_code ->
+  result
+(** [run_session ~repeat code] runs [code] [repeat] times, as
+    {!run_code} would, and returns the last run's result. The runs share
+    one memory buffer, zeroed before each: every run starts from
+    all-zero memory. A paged session's repeats run here, so the code
+    [fetch] serves (and its cache) carries over from run to run.
+    @raise Invalid_argument if [repeat < 1]. *)
 
 val global_address : Isa.vprogram -> string -> int
 (** Address a global would get under this interpreter's layout (exposed

@@ -111,30 +111,31 @@ let indices_of_ids ~use_mtf ids =
     out
   end
 
-let inverse_mtf_or_first ~use_mtf (e : 'a Zip.Mtf.encoded) =
-  if use_mtf then Zip.Mtf.decode_exn e
+(* A decoded stream as ids into its novel table: the inverse MTF — or,
+   in the ablation, of the first-occurrence indices, whose table is
+   always a prefix of the novel list (entry i - 1 of it is the i-th
+   novel value introduced). Errors match the list decoders'
+   ({!Zip.Mtf.decode_exn}'s, and the ablation's own), element for
+   element. *)
+let inverse_mtf_or_first ~use_mtf (indices : int array) ~n_novel : int array =
+  if use_mtf then Zip.Mtf.decode_ids ~max_novel:n_novel indices
   else begin
     let fail ~pos msg =
       Support.Decode_error.fail ~decoder:"wire"
         ~kind:Support.Decode_error.Bad_value ~pos msg
     in
-    let table = ref [||] in
-    let pending = ref e.Zip.Mtf.novel in
-    List.mapi
+    let seen = ref 0 in
+    Array.mapi
       (fun pos i ->
         if i = 0 then begin
-          match !pending with
-          | [] -> fail ~pos "novel list exhausted"
-          | x :: rest ->
-            pending := rest;
-            table := Array.append !table [| x |];
-            x
+          if !seen >= n_novel then fail ~pos "novel list exhausted";
+          incr seen;
+          !seen - 1
         end
-        else if i < 0 || i > Array.length !table then
-          fail ~pos (Printf.sprintf "index %d exceeds table of %d" i
-                       (Array.length !table))
-        else !table.(i - 1))
-      e.Zip.Mtf.indices
+        else if i < 0 || i > !seen then
+          fail ~pos (Printf.sprintf "index %d exceeds table of %d" i !seen)
+        else i - 1)
+      indices
   end
 
 let encode_indices buf indices =
@@ -142,9 +143,10 @@ let encode_indices buf indices =
   let bytes = Zip.Huffman.encode_all_arr indices ~alphabet in
   Support.Frame.put_bytes buf bytes
 
+(* the stream's Huffman bytes are read where they sit in the bundle *)
 let decode_indices r =
-  let raw = Support.Frame.str ~what:"bundle" r in
-  Zip.Huffman.decode_all_exn (Bytes.of_string raw)
+  let pos, len = Support.Frame.field ~what:"bundle" r in
+  Zip.Huffman.decode_sub_exn (Support.Frame.src r) ~pos ~len
 
 (* Each stream (the pattern stream, each literal stream) is encoded
    into its own byte segment by a pure function of [pz] alone, so the
@@ -264,25 +266,27 @@ let apply_final_stage stage bundle =
 (* body (everything behind the CRC seal) -> bundle. [dict] is the
    pre-agreed priming dictionary for the ['S'] stage; the other stages
    ignore it. *)
-let unwrap_final_stage_exn ?dict body =
+let unwrap_final_stage_at_exn ?dict z ~off =
   let fail0 kind msg =
     Support.Decode_error.fail ~decoder:"wire" ~kind ~pos:0 msg
   in
-  if String.length body < 1 then
+  let n = String.length z - off in
+  (* the body after its [k]-byte stage header *)
+  let rest k = String.sub z (off + k) (n - k) in
+  if n < 1 then
     fail0 Support.Decode_error.Truncated "missing final-stage tag";
-  match body.[0] with
-  | 'D' -> Zip.Deflate.decompress_exn (String.sub body 1 (String.length body - 1))
+  match z.[off] with
+  | 'D' -> Zip.Deflate.decompress_sub_exn z ~pos:(off + 1) ~len:(n - 1)
   | 'A' ->
-    if String.length body < 2 then
+    if n < 2 then
       fail0 Support.Decode_error.Truncated "truncated header";
-    let order = Char.code body.[1] - Char.code '0' in
+    let order = Char.code z.[off + 1] - Char.code '0' in
     if order < 0 || order > 3 then
       fail0 Support.Decode_error.Bad_value "bad arith order";
-    Zip.Range_coder.decompress_order_n_exn ~order
-      (String.sub body 2 (String.length body - 2))
-  | 'L' -> Zip.Lza.decompress_exn (String.sub body 1 (String.length body - 1))
+    Zip.Range_coder.decompress_order_n_exn ~order (rest 2)
+  | 'L' -> Zip.Lza.decompress_exn (rest 1)
   | 'S' -> (
-    if String.length body < 5 then
+    if n < 5 then
       fail0 Support.Decode_error.Truncated "truncated shared-stage header";
     (* [None] means no dictionary was supplied; [Some ""] is a real
        (empty) dictionary and must still pass the CRC pairing check *)
@@ -291,12 +295,14 @@ let unwrap_final_stage_exn ?dict body =
       fail0 Support.Decode_error.Bad_value
         "shared final stage requires a dictionary context"
     | Some dict ->
-      if String.sub body 1 4 <> dict_crc_be dict then
+      if String.sub z (off + 1) 4 <> dict_crc_be dict then
         fail0 Support.Decode_error.Inconsistent
           "shared-stage dictionary crc mismatch";
-      Zip.Deflate.decompress_exn ~dict
-        (String.sub body 5 (String.length body - 5)))
+      Zip.Deflate.decompress_sub_exn ~dict z ~pos:(off + 5) ~len:(n - 5))
   | _ -> fail0 Support.Decode_error.Bad_value "unknown final stage"
+
+let unwrap_final_stage_exn ?dict body =
+  unwrap_final_stage_at_exn ?dict body ~off:0
 
 (* ---- the whole pipeline ---- *)
 
@@ -309,6 +315,24 @@ let compress ?pool ?use_mtf ?split_streams ?(final_stage = Deflate)
   Support.Frame.seal (apply_final_stage final_stage bundle)
 
 (* ---- decompression ---- *)
+
+(* Literal classes as dense indices, so the reassembly loop resolves a
+   class's stream once per bundle rather than building and hashing its
+   string key per literal. *)
+let class_index = function
+  | Ir.Op.Lc_addrl Ir.Op.W8 -> 0
+  | Ir.Op.Lc_addrl Ir.Op.W16 -> 1
+  | Ir.Op.Lc_addrl Ir.Op.W32 -> 2
+  | Ir.Op.Lc_addrf Ir.Op.W8 -> 3
+  | Ir.Op.Lc_addrf Ir.Op.W16 -> 4
+  | Ir.Op.Lc_addrf Ir.Op.W32 -> 5
+  | Ir.Op.Lc_addrg -> 6
+  | Ir.Op.Lc_cnst Ir.Op.W8 -> 7
+  | Ir.Op.Lc_cnst Ir.Op.W16 -> 8
+  | Ir.Op.Lc_cnst Ir.Op.W32 -> 9
+  | Ir.Op.Lc_label -> 10
+
+let n_classes = 11
 
 let program_of_bundle_exn bundle : Ir.Tree.program =
   let r = Support.Frame.reader ~decoder:"wire" bundle in
@@ -339,7 +363,7 @@ let program_of_bundle_exn bundle : Ir.Tree.program =
   let nfun = get_uleb () in
   check_count nfun "function";
   let headers =
-    List.init nfun (fun _ ->
+    Array.init nfun (fun _ ->
         let fname = get_str () in
         let nformals = get_uleb () in
         check_count nformals "formal";
@@ -353,89 +377,93 @@ let program_of_bundle_exn bundle : Ir.Tree.program =
         let nstmts = get_uleb () in
         (fname, formals, frame_size, nstmts))
   in
-  (* pattern stream *)
+  (* pattern stream; novel patterns decode in place *)
   let pat_indices = decode_indices r in
   let n_novel = get_uleb () in
   check_count n_novel "novel pattern";
   let novel_pats =
-    List.init n_novel (fun _ ->
-        let s = get_str () in
-        let pos = ref 0 in
-        let sp = Ir.Pattern.decode s pos in
-        if !pos <> String.length s then
+    Array.init n_novel (fun _ ->
+        let p, n = Support.Frame.field ~what:"bundle" r in
+        let pos = ref p in
+        let sp = Ir.Pattern.decode ~stop:(p + n) bundle pos in
+        if !pos <> p + n then
           wfail r Support.Decode_error.Inconsistent "trailing pattern bytes";
         sp)
   in
-  let pattern_seq =
-    inverse_mtf_or_first ~use_mtf
-      { Zip.Mtf.indices = pat_indices; novel = novel_pats }
+  let pattern_ids =
+    inverse_mtf_or_first ~use_mtf pat_indices ~n_novel:(Array.length novel_pats)
   in
-  (* literal streams *)
+  (* literal streams; a repeated key shadows the earlier stream *)
   let nstreams = get_uleb () in
   check_count nstreams "literal stream";
-  let lit_streams : (string, Ir.Pattern.lit list ref) Hashtbl.t =
-    Hashtbl.create 16
+  let by_key : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let streams =
+    Array.init nstreams (fun k ->
+        let key = get_str () in
+        let indices = decode_indices r in
+        let n_novel = get_uleb () in
+        check_count n_novel "novel literal";
+        let novel =
+          Array.init n_novel (fun _ ->
+              match get_byte () with
+              | '\000' -> Ir.Pattern.Lint (Support.Frame.sleb r)
+              | '\001' -> Ir.Pattern.Lsym (get_str ())
+              | _ -> wfail r Support.Decode_error.Bad_value "bad literal tag")
+        in
+        let ids =
+          inverse_mtf_or_first ~use_mtf indices ~n_novel:(Array.length novel)
+        in
+        Hashtbl.replace by_key key k;
+        (ids, novel))
   in
-  for _ = 1 to nstreams do
-    let key = get_str () in
-    let indices = decode_indices r in
-    let n_novel = get_uleb () in
-    check_count n_novel "novel literal";
-    let novel =
-      List.init n_novel (fun _ ->
-          match get_byte () with
-          | '\000' -> Ir.Pattern.Lint (Support.Frame.sleb r)
-          | '\001' -> Ir.Pattern.Lsym (get_str ())
-          | _ -> wfail r Support.Decode_error.Bad_value "bad literal tag")
-    in
-    let seq = inverse_mtf_or_first ~use_mtf { Zip.Mtf.indices; novel } in
-    Hashtbl.add lit_streams key (ref seq)
-  done;
+  (* each class's stream, resolved on its first literal *)
+  let unresolved = -2 and missing = -1 in
+  let stream_of = Array.make n_classes unresolved in
+  let cursor = Array.make nstreams 0 in
   let next_lit cls =
-    let key = class_key ~split:split_streams cls in
-    match Hashtbl.find_opt lit_streams key with
-    | Some lr -> (
-      match !lr with
-      | [] ->
-        wfail r Support.Decode_error.Inconsistent
-          ("literal stream exhausted: " ^ key)
-      | v :: rest ->
-        lr := rest;
-        v)
-    | None ->
+    let c = class_index cls in
+    if stream_of.(c) = unresolved then
+      stream_of.(c) <-
+        (match Hashtbl.find_opt by_key (class_key ~split:split_streams cls) with
+        | Some k -> k
+        | None -> missing);
+    let k = stream_of.(c) in
+    if k = missing then
       wfail r Support.Decode_error.Inconsistent
-        ("missing literal stream: " ^ key)
+        ("missing literal stream: " ^ class_key ~split:split_streams cls);
+    let ids, novel = streams.(k) in
+    let i = cursor.(k) in
+    if i >= Array.length ids then
+      wfail r Support.Decode_error.Inconsistent
+        ("literal stream exhausted: " ^ class_key ~split:split_streams cls);
+    cursor.(k) <- i + 1;
+    novel.(ids.(i))
   in
   (* reassemble functions *)
-  let remaining_patterns = ref pattern_seq in
-  let take_pattern () =
-    match !remaining_patterns with
-    | [] -> wfail r Support.Decode_error.Inconsistent "pattern stream exhausted"
-    | sp :: rest ->
-      remaining_patterns := rest;
-      sp
-  in
+  let next_pattern = ref 0 in
   let funcs =
-    List.map
-      (fun (fname, formals, frame_size, nstmts) ->
-        let body =
-          List.init nstmts (fun _ ->
-              let sp = take_pattern () in
-              let slots = Ir.Pattern.lit_slots sp in
-              let lits = List.map (fun cls -> (cls, next_lit cls)) slots in
-              Ir.Pattern.to_stmt sp lits)
-        in
-        { Ir.Tree.fname; formals; frame_size; body })
-      headers
+    Array.to_list
+      (Array.map
+         (fun (fname, formals, frame_size, nstmts) ->
+           let body =
+             List.init nstmts (fun _ ->
+                 let i = !next_pattern in
+                 if i >= Array.length pattern_ids then
+                   wfail r Support.Decode_error.Inconsistent
+                     "pattern stream exhausted";
+                 next_pattern := i + 1;
+                 Ir.Pattern.to_stmt_pull novel_pats.(pattern_ids.(i)) next_lit)
+           in
+           { Ir.Tree.fname; formals; frame_size; body })
+         headers)
   in
-  if !remaining_patterns <> [] then
+  if !next_pattern <> Array.length pattern_ids then
     wfail r Support.Decode_error.Inconsistent "leftover patterns";
   { Ir.Tree.globals; funcs }
 
 let decompress_exn ?dict z =
   let off = Support.Frame.verify ~decoder:"wire" z in
-  let body = String.sub z off (String.length z - off) in
-  program_of_bundle_exn (unwrap_final_stage_exn ?dict body)
+  program_of_bundle_exn (unwrap_final_stage_at_exn ?dict z ~off)
 
 let decompress ?dict z =
   Support.Decode_error.guard ~decoder:"wire" (fun () -> decompress_exn ?dict z)

@@ -277,9 +277,10 @@ let compress_opt s =
 
 let default_max_output = 1 lsl 26
 
-let decompress_exn ?(max_output = default_max_output) ?(dict = "") z =
+let decompress_sub_exn ?(max_output = default_max_output) ?(dict = "") z ~pos
+    ~len =
   let dlen = String.length dict in
-  let r = Support.Bitio.Reader.of_string z in
+  let r = Support.Bitio.Reader.of_substring z ~pos ~len in
   let fail kind msg =
     Support.Decode_error.fail ~decoder:"deflate" ~kind
       ~pos:(Support.Bitio.Reader.bit_position r / 8)
@@ -316,7 +317,7 @@ let decompress_exn ?(max_output = default_max_output) ?(dict = "") z =
              first);
       let lit =
         { Huffman.lengths =
-            Array.init first (fun _ -> Support.Bitio.Reader.get_bits r 5) }
+            Support.Bitio.Reader.get_fields r ~count:first ~width:5 }
       in
       (lit, Huffman.read_lengths r)
     end
@@ -383,14 +384,36 @@ let decompress_exn ?(max_output = default_max_output) ?(dict = "") z =
   in
   (* grow towards orig_len rather than trusting it up front; the primed
      dictionary sits below position 0 of the logical output, so the
-     distance floor naturally extends back into it *)
-  let buf = Buffer.create (min (dlen + orig_len) 65536) in
-  Buffer.add_string buf dict;
+     distance floor naturally extends back into it. [out] is grown by
+     doubling, capped at the declared total, and any symbol that would
+     overrun the declared length fails before it is written — the same
+     check, at the same input position, as testing after the write. *)
+  let total = dlen + orig_len in
+  let out = ref (Bytes.create (min total (dlen + 65536))) in
+  Bytes.blit_string dict 0 !out 0 dlen;
+  let len = ref dlen in
+  let overrun () =
+    fail Support.Decode_error.Inconsistent "output exceeds declared length"
+  in
+  let reserve n =
+    if !len + n > total then overrun ();
+    if !len + n > Bytes.length !out then begin
+      let cap = min total (max (!len + n) (2 * Bytes.length !out)) in
+      let nb = Bytes.create cap in
+      Bytes.blit !out 0 nb 0 !len;
+      out := nb
+    end
+  in
   let finished = ref false in
   while not !finished do
     let sym = Huffman.decode_symbol ld r in
     if sym = eob then finished := true
-    else if sym < 256 then Buffer.add_char buf (Char.chr sym)
+    else if sym < 256 then begin
+      (* below the buffer's end is below the declared total too *)
+      if !len >= Bytes.length !out then reserve 1;
+      Bytes.unsafe_set !out !len (Char.unsafe_chr sym);
+      incr len
+    end
     else begin
       let lc = sym - 257 in
       if lc >= Array.length length_base then
@@ -413,20 +436,29 @@ let decompress_exn ?(max_output = default_max_output) ?(dict = "") z =
       let dist =
         dist_base.(dc) + Support.Bitio.Reader.get_bits r dist_extra.(dc)
       in
-      let start = Buffer.length buf - dist in
+      let start = !len - dist in
       if start < 0 then
         fail Support.Decode_error.Bad_value "distance before start of output";
-      for k = 0 to length - 1 do
-        Buffer.add_char buf (Buffer.nth buf (start + k))
-      done
-    end;
-    if Buffer.length buf - dlen > orig_len then
-      fail Support.Decode_error.Inconsistent "output exceeds declared length"
+      reserve length;
+      let b = !out in
+      if dist >= length then Bytes.blit b start b !len length
+      else
+        (* overlapping copy: each byte may read one written by this
+           same match, so go front to back *)
+        for k = 0 to length - 1 do
+          Bytes.unsafe_set b (!len + k) (Bytes.unsafe_get b (start + k))
+        done;
+      len := !len + length
+    end
   done;
-  if Buffer.length buf - dlen <> orig_len then
+  if !len <> total then
     fail Support.Decode_error.Inconsistent "output shorter than declared length";
-  Buffer.sub buf dlen orig_len
+  if dlen = 0 && Bytes.length !out = total then Bytes.unsafe_to_string !out
+  else Bytes.sub_string !out dlen orig_len
   end
+
+let decompress_exn ?max_output ?dict z =
+  decompress_sub_exn ?max_output ?dict z ~pos:0 ~len:(String.length z)
 
 let decompress ?max_output ?dict z =
   Support.Decode_error.guard ~decoder:"deflate" (fun () ->

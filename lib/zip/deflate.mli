@@ -87,5 +87,11 @@ val decompress_exn : ?max_output:int -> ?dict:string -> string -> string
 (** As {!decompress} but raises {!Support.Decode_error.Fail}; for
     trusted inputs (e.g. bytes this process just compressed). *)
 
+val decompress_sub_exn :
+  ?max_output:int -> ?dict:string -> string -> pos:int -> len:int -> string
+(** As {!decompress_exn} over the stream held in bytes [pos, pos + len)
+    of a larger string, read in place; error positions are relative to
+    [pos]. *)
+
 val compressed_size : string -> int
 (** [String.length (compress s)] without keeping the output. *)

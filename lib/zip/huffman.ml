@@ -94,16 +94,31 @@ let bit_reverse v n =
   done;
   !r
 
+(* Root-table entries pack (symbol lsl 5) lor length; length >= 1 for
+   any real codeword, so 0 marks "longer than the root or invalid" and
+   routes to the bit-at-a-time fallback. The table is a byte block of
+   32-bit native-endian entries (a symbol of a 16-bit alphabet packs to
+   21 bits): the GC never scans it, and a full 2^10-entry table costs a
+   memset, where an int array that size is a scanned major-heap
+   block. *)
+let root_bits_cap = 10
+
+external root_get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external root_set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let root_get t i = Int32.to_int (root_get32 t (i lsl 2))
+let root_set t i v = root_set32 t (i lsl 2) (Int32.of_int v)
+let root_create bits = Bytes.make (4 lsl bits) '\000'
+
+(* [rev_root.(v)] reverses all [root_bits_cap] bits of [v]; the reverse
+   of a shorter [n]-bit field is that shifted down by the difference *)
+let rev_root = Array.init (1 lsl root_bits_cap) (fun v -> bit_reverse v root_bits_cap)
+
 type encoder = {
   enc_lengths : int array;
   enc_codes : int array;
   enc_rev : int array;          (* bit-reversed codes, for LSB-first emit *)
 }
-
-(* Root-table entries pack (symbol lsl 5) lor length; length >= 1 for
-   any real codeword, so 0 marks "longer than the root or invalid" and
-   routes to the bit-at-a-time fallback. *)
-let root_bits_cap = 10
 
 type decoder = {
   (* canonical decode tables indexed by length *)
@@ -113,7 +128,7 @@ type decoder = {
   sorted_syms : int array;      (* symbols sorted by (length, code) *)
   dec_max_len : int;
   root_bits : int;              (* table index width, min(max_len, cap) *)
-  root_table : int array;       (* 2^root_bits packed entries *)
+  root_table : Bytes.t;         (* 2^root_bits packed entries *)
 }
 
 let make_encoder c =
@@ -121,31 +136,46 @@ let make_encoder c =
   let rev = Array.mapi (fun sym cd -> bit_reverse cd c.lengths.(sym)) codes in
   { enc_lengths = c.lengths; enc_codes = codes; enc_rev = rev }
 
-let make_decoder ({ lengths } as c) =
-  let max_len = Array.fold_left max 0 lengths in
+(* Decode tables in one pass over the alphabet. Canonical codes ascend
+   with the symbol within one length, so a counting sort by length —
+   each symbol dropped into its length's next free slot, in symbol
+   order — lays out [sorted_syms] in (length, code) order, and a
+   symbol's code is its length's first code plus its rank there. No
+   list, no comparison sort, no separate [canonical_codes] pass; the
+   tables are equal to {!Reference.make_decoder}'s (test-pinned). *)
+let make_decoder { lengths } =
+  let n = Array.length lengths in
+  let max_len = ref 0 in
+  for s = 0 to n - 1 do
+    let l = Array.unsafe_get lengths s in
+    if l > !max_len then max_len := l
+  done;
+  let max_len = !max_len in
   let counts = Array.make (max_len + 1) 0 in
-  Array.iter (fun l -> if l > 0 then counts.(l) <- counts.(l) + 1) lengths;
-  let codes = canonical_codes c in
-  (* sort symbols by (length, code) *)
-  let syms =
-    Array.to_list lengths
-    |> List.mapi (fun s l -> (s, l))
-    |> List.filter (fun (_, l) -> l > 0)
-    |> List.sort (fun (s1, l1) (s2, l2) ->
-           if l1 <> l2 then compare l1 l2 else compare codes.(s1) codes.(s2))
-    |> List.map fst
-    |> Array.of_list
-  in
+  for s = 0 to n - 1 do
+    let l = Array.unsafe_get lengths s in
+    if l > 0 then counts.(l) <- counts.(l) + 1
+  done;
   let first_code = Array.make (max_len + 1) 0 in
   let first_index = Array.make (max_len + 1) 0 in
+  let next = Array.make (max_len + 1) 0 in
   let idx = ref 0 in
   let code = ref 0 in
   for l = 1 to max_len do
     code := (!code + if l = 1 then 0 else counts.(l - 1)) lsl 1;
-    (* recompute canonical first code of length l *)
     first_code.(l) <- !code;
     first_index.(l) <- !idx;
+    next.(l) <- !idx;
     idx := !idx + counts.(l)
+  done;
+  let sorted_syms = Array.make !idx 0 in
+  for sym = 0 to n - 1 do
+    let l = Array.unsafe_get lengths sym in
+    if l > 0 then begin
+      let k = next.(l) in
+      next.(l) <- k + 1;
+      sorted_syms.(k) <- sym
+    end
   done;
   (* Flat lookup table over the next [root_bits] bits of the stream
      (LSB-first, as peeked). A codeword of length l <= root_bits owns
@@ -153,19 +183,96 @@ let make_decoder ({ lengths } as c) =
      at 0 (longer codewords, or bit patterns outside the code) fall back
      to the canonical bit-at-a-time walk. *)
   let root_bits = min max_len root_bits_cap in
-  let root_table = Array.make (1 lsl root_bits) 0 in
-  Array.iteri
-    (fun sym l ->
-      if l > 0 && l <= root_bits then begin
-        let rev = bit_reverse codes.(sym) l in
-        let fillers = 1 lsl (root_bits - l) in
-        for j = 0 to fillers - 1 do
-          root_table.(rev lor (j lsl l)) <- (sym lsl 5) lor l
-        done
-      end)
-    lengths;
-  { first_code; first_index; counts; sorted_syms = syms;
-    dec_max_len = max_len; root_bits; root_table }
+  let root_table = root_create root_bits in
+  (* the slot and packed entry of the k-th codeword in (length, code)
+     order, which has length [l] *)
+  let slot l k =
+    let code = (first_code.(l) + (k - first_index.(l))) land ((1 lsl l) - 1) in
+    rev_root.(code) lsr (root_bits_cap - l)
+  in
+  let entry l k = (sorted_syms.(k) lsl 5) lor l in
+  let kraft = ref 0 in
+  for l = 1 to max_len do
+    kraft := !kraft + (counts.(l) lsl (max_len - l))
+  done;
+  if !kraft <= 1 lsl max_len then
+    (* A prefix-free code (complete or not): no two codewords share a
+       slot, so build the table width by width — double it (the copy
+       repeats every shorter codeword's slots), then drop each
+       codeword of the new length into its one slot. *)
+    for l = 1 to root_bits do
+      let half = 1 lsl (l - 1) in
+      Bytes.blit root_table 0 root_table (4 * half) (4 * half);
+      for k = first_index.(l) to first_index.(l) + counts.(l) - 1 do
+        root_set root_table (slot l k) (entry l k)
+      done
+    done
+  else begin
+    (* Over-subscribed (only corrupt input): codewords collide, and a
+       slot keeps the last writer in symbol order, as the reference
+       construction does. [next] walks each length's ranks again. *)
+    Array.blit first_index 0 next 0 (max_len + 1);
+    for sym = 0 to n - 1 do
+      let l = Array.unsafe_get lengths sym in
+      if l > 0 then begin
+        let k = next.(l) in
+        next.(l) <- k + 1;
+        if l <= root_bits then begin
+          let rev = slot l k and e = entry l k in
+          for j = 0 to (1 lsl (root_bits - l)) - 1 do
+            root_set root_table (rev lor (j lsl l)) e
+          done
+        end
+      end
+    done
+  end;
+  { first_code; first_index; counts; sorted_syms; dec_max_len = max_len;
+    root_bits; root_table }
+
+(* The original list-sorting construction, kept verbatim as the oracle
+   the counting-sort tables are differential-tested against. *)
+module Reference = struct
+  let make_decoder ({ lengths } as c) =
+    let max_len = Array.fold_left max 0 lengths in
+    let counts = Array.make (max_len + 1) 0 in
+    Array.iter (fun l -> if l > 0 then counts.(l) <- counts.(l) + 1) lengths;
+    let codes = canonical_codes c in
+    (* sort symbols by (length, code) *)
+    let syms =
+      Array.to_list lengths
+      |> List.mapi (fun s l -> (s, l))
+      |> List.filter (fun (_, l) -> l > 0)
+      |> List.sort (fun (s1, l1) (s2, l2) ->
+             if l1 <> l2 then compare l1 l2 else compare codes.(s1) codes.(s2))
+      |> List.map fst
+      |> Array.of_list
+    in
+    let first_code = Array.make (max_len + 1) 0 in
+    let first_index = Array.make (max_len + 1) 0 in
+    let idx = ref 0 in
+    let code = ref 0 in
+    for l = 1 to max_len do
+      code := (!code + if l = 1 then 0 else counts.(l - 1)) lsl 1;
+      (* recompute canonical first code of length l *)
+      first_code.(l) <- !code;
+      first_index.(l) <- !idx;
+      idx := !idx + counts.(l)
+    done;
+    let root_bits = min max_len root_bits_cap in
+    let root_table = root_create root_bits in
+    Array.iteri
+      (fun sym l ->
+        if l > 0 && l <= root_bits then begin
+          let rev = bit_reverse codes.(sym) l in
+          let fillers = 1 lsl (root_bits - l) in
+          for j = 0 to fillers - 1 do
+            root_set root_table (rev lor (j lsl l)) ((sym lsl 5) lor l)
+          done
+        end)
+      lengths;
+    { first_code; first_index; counts; sorted_syms = syms;
+      dec_max_len = max_len; root_bits; root_table }
+end
 
 let encode_symbol e w sym =
   let l = e.enc_lengths.(sym) in
@@ -204,7 +311,7 @@ let decode_symbol d r =
      length overruns the real input, no shorter codeword could have
      matched either, so the slow path correctly reports truncation. *)
   let idx = Support.Bitio.Reader.peek_bits r d.root_bits in
-  let entry = Array.unsafe_get d.root_table idx in
+  let entry = root_get d.root_table idx in
   if entry <> 0 then begin
     let l = entry land 31 in
     if l <= Support.Bitio.Reader.bits_remaining r then begin
@@ -227,7 +334,7 @@ let read_lengths r =
   if n * 5 > Support.Bitio.Reader.bits_remaining r then
     hfail r Support.Decode_error.Truncated
       (Printf.sprintf "length table of %d entries exceeds remaining input" n);
-  let lengths = Array.init n (fun _ -> Support.Bitio.Reader.get_bits r 5) in
+  let lengths = Support.Bitio.Reader.get_fields r ~count:n ~width:5 in
   { lengths }
 
 let cost_bits { lengths } freqs =
@@ -252,8 +359,7 @@ let encode_all_arr syms ~alphabet =
 
 let encode_all syms ~alphabet = encode_all_arr (Array.of_list syms) ~alphabet
 
-let decode_all_arr_exn bytes =
-  let r = Support.Bitio.Reader.of_bytes bytes in
+let decode_reader_exn r =
   if Support.Bitio.Reader.bits_remaining r < 32 then
     hfail r Support.Decode_error.Truncated "missing symbol count";
   let count = Support.Bitio.Reader.get_bits r 32 in
@@ -272,6 +378,12 @@ let decode_all_arr_exn bytes =
     done;
     out
   end
+
+let decode_all_arr_exn bytes =
+  decode_reader_exn (Support.Bitio.Reader.of_bytes bytes)
+
+let decode_sub_exn s ~pos ~len =
+  decode_reader_exn (Support.Bitio.Reader.of_substring s ~pos ~len)
 
 let decode_all_exn bytes = Array.to_list (decode_all_arr_exn bytes)
 

@@ -25,7 +25,18 @@ type encoder
 type decoder
 
 val make_encoder : code -> encoder
+
 val make_decoder : code -> decoder
+(** Decode tables built by one counting-sort pass over the lengths. *)
+
+module Reference : sig
+  val make_decoder : code -> decoder
+  (** The original construction (list sort of the alphabet by length and
+      canonical code), kept as the differential oracle: its tables are
+      structurally equal to {!make_decoder}'s for every length vector,
+      including empty, single-symbol, incomplete and over-subscribed
+      codes. *)
+end
 
 val encode_symbol : encoder -> Support.Bitio.Writer.t -> int -> unit
 (** Single [put_bits] of the precomputed bit-reversed code (the bit
@@ -73,3 +84,7 @@ val decode_all_exn : Bytes.t -> int list
 
 val decode_all_arr_exn : Bytes.t -> int array
 (** As {!decode_all_exn} into an int array. *)
+
+val decode_sub_exn : string -> pos:int -> len:int -> int array
+(** As {!decode_all_arr_exn} over bytes [pos, pos + len) of a larger
+    string, read in place; error positions are relative to [pos]. *)

@@ -60,7 +60,10 @@ let encode_ids (ids : int array) : int array =
 let decode_ids ?max_novel (indices : int array) : int array =
   let n = Array.length indices in
   let out = Array.make n 0 in
-  let table = ref (Array.make 64 0) in
+  (* the table never outgrows the novel count: a short stream's table
+     stays small *)
+  let cap = match max_novel with Some m -> max 1 (min m 64) | None -> 64 in
+  let table = ref (Array.make cap 0) in
   let tlen = ref 0 in
   let next_id = ref 0 in
   for pos = 0 to n - 1 do

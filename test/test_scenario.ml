@@ -314,6 +314,39 @@ let test_paged_session_repeat () =
     one.Scenario.Paged.stats.Vm.Pager.faults
     three.Scenario.Paged.stats.Vm.Pager.faults
 
+(* Every repeat of a session reads memory an earlier repeat wrote — an
+   uninitialized global counter, a global array, a never-written stack
+   slot — so a session that leaked memory from one repeat into the next
+   would print a different last result than a single resident run. *)
+let test_paged_session_fresh_memory () =
+  let src =
+    "int count; int hist[300];\n\
+     int bump(int k) { int i; int s; s = 0; hist[k] = hist[k] + k;\n\
+     \  for (i = 0; i < 300; i = i + 1) s = s + hist[i]; return s; }\n\
+     int peek() { int junk; return junk; }\n\
+     int main() { int x; count = count + 1; print_int(count);\n\
+     \  print_int(bump(7)); print_int(bump(9)); print_int(peek());\n\
+     \  x = peek(); hist[299] = x + 1; return count; }\n"
+  in
+  let ir = Cc.Lower.compile src in
+  let resident = Vm.Interp.run (Vm.Codegen.gen_program ir) in
+  Alcotest.(check string) "resident output" "17160" resident.Vm.Interp.output;
+  let img = Wire.Chunked.compress ir in
+  List.iter
+    (fun budget_bytes ->
+      match
+        Scenario.Paged.run_vm ~cfg:(Scenario.Paged.config ~budget_bytes ())
+          ~repeat:4 img
+      with
+      | Error e -> Alcotest.fail (Scenario.Paged.error_to_string e)
+      | Ok r ->
+        Alcotest.(check string)
+          (Printf.sprintf "4th repeat output at %d B budget" budget_bytes)
+          resident.Vm.Interp.output r.Scenario.Paged.res.Vm.Interp.output;
+        Alcotest.(check int) "4th repeat exit code"
+          resident.Vm.Interp.exit_code r.Scenario.Paged.res.Vm.Interp.exit_code)
+    [ 1; Scenario.Paged.vm_image_bytes img ]
+
 let test_paged_corrupt_chunk_is_typed () =
   (* corrupt one byte inside main's chunk, behind a re-sealed outer CRC:
      the fault that decompresses that chunk must surface Error (Decode _),
@@ -396,6 +429,8 @@ let () =
             test_paged_equivalence_across_budgets;
           Alcotest.test_case "budget below one page" `Quick
             test_paged_budget_below_one_page;
+          Alcotest.test_case "session repeats see fresh memory" `Quick
+            test_paged_session_fresh_memory;
           Alcotest.test_case "session repeat warms the cache" `Quick
             test_paged_session_repeat;
           Alcotest.test_case "corrupt chunk surfaces typed error" `Quick

@@ -454,6 +454,42 @@ let test_wire_range_degradation () =
     (healed.Server.artifact = Server.Artifact.wire_range_opt
     && healed.Server.degraded_from = None)
 
+(* contexted serves are accounted like any other: a shared-dictionary
+   serve and a delta serve each get their [by_repr] row, and both count
+   toward the report's bytes on the wire *)
+let test_stats_report_contexted_serves () =
+  let e = Server.create () in
+  let src = Corpus.Programs.wc.Corpus.Programs.source in
+  let v1 = Server.publish e ~run_cycles:1_000_000 (prog src) in
+  let v2 =
+    Server.publish e ~run_cycles:1_000_000
+      (prog (src ^ "\nint helper(int x) { return x * 7 + 1; }\n"))
+  in
+  let sd = Codec.Context.builtin_digest () in
+  let shared = Server.fetch ~held:[ sd ] e v1 Server.Profile.modem in
+  let delta = Server.fetch ~held:[ sd; v1 ] e v2 Server.Profile.modem in
+  Alcotest.(check string) "dictionary holder served wire+shared" "wire+shared"
+    (Server.Artifact.name shared.Server.artifact);
+  Alcotest.(check string) "base holder served delta" "delta"
+    (Server.Artifact.name delta.Server.artifact);
+  let r = Server.report e in
+  let served repr =
+    match
+      List.find_opt
+        (fun (rr : Server.Stats.repr_report) -> rr.Server.Stats.repr = repr)
+        r.Server.Stats.by_repr
+    with
+    | Some rr -> (rr.Server.Stats.responses, rr.Server.Stats.bytes_served)
+    | None -> (0, 0)
+  in
+  Alcotest.(check (pair int int)) "wire+shared row" (1, shared.Server.size)
+    (served Server.Artifact.wire_shared);
+  Alcotest.(check (pair int int)) "delta row" (1, delta.Server.size)
+    (served Server.Artifact.delta);
+  Alcotest.(check int) "bytes on the wire count both serves"
+    (shared.Server.size + delta.Server.size)
+    r.Server.Stats.total_bytes_served
+
 (* ---- engine + workload: end to end ---- *)
 
 let test_workload_end_to_end () =
@@ -658,5 +694,10 @@ let () =
             test_single_flight_32_cold_fetches;
           Alcotest.test_case "sharded store equivalence" `Quick
             test_sharded_store_equivalence;
+        ] );
+      ( "stats",
+        [
+          Alcotest.test_case "contexted serves in by_repr" `Quick
+            test_stats_report_contexted_serves;
         ] );
     ]

@@ -123,6 +123,57 @@ let prop_peek_advance_consistency =
           peeked = Support.Bitio.Reader.get_bits r2 n)
         fields)
 
+(* a reader over a substring sees exactly what a reader over a copy of
+   it sees: the same fields, the same zero fill past its end (not the
+   bytes that follow it in the larger string), the same positions *)
+let prop_substring_reader =
+  QCheck.Test.make ~name:"of_substring = of_string (String.sub)" ~count:300
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 40)) (pair small_nat small_nat)
+        (small_list (int_range 1 32)))
+    (fun (s, (a, b), widths) ->
+      let pos = if s = "" then 0 else a mod (String.length s + 1) in
+      let len = if s = "" then 0 else b mod (String.length s - pos + 1) in
+      let r1 = Support.Bitio.Reader.of_substring s ~pos ~len in
+      let r2 = Support.Bitio.Reader.of_string (String.sub s pos len) in
+      List.for_all
+        (fun n ->
+          let p1 = Support.Bitio.Reader.peek_bits r1 n in
+          let p2 = Support.Bitio.Reader.peek_bits r2 n in
+          let g r = try Some (Support.Bitio.Reader.get_bits r n) with Failure _ -> None in
+          p1 = p2
+          && g r1 = g r2
+          && Support.Bitio.Reader.bit_position r1 = Support.Bitio.Reader.bit_position r2
+          && Support.Bitio.Reader.bits_remaining r1
+             = Support.Bitio.Reader.bits_remaining r2)
+        widths)
+
+(* the bulk field read against one [get_bits] per field, including
+   counts that run out of input part-way *)
+let prop_get_fields =
+  QCheck.Test.make ~name:"get_fields = repeated get_bits" ~count:300
+    QCheck.(
+      quad (string_of_size (Gen.int_range 0 24)) (int_range 0 7)
+        (int_range 1 16) (int_range 0 40))
+    (fun (s, skip, width, count) ->
+      let r1 = Support.Bitio.Reader.of_string s in
+      let r2 = Support.Bitio.Reader.of_string s in
+      let skip = min skip (8 * String.length s) in
+      ignore (Support.Bitio.Reader.get_bits r1 skip);
+      ignore (Support.Bitio.Reader.get_bits r2 skip);
+      let bulk =
+        try Some (Support.Bitio.Reader.get_fields r1 ~count ~width)
+        with Failure _ -> None
+      in
+      let one =
+        try Some (Array.init count (fun _ -> Support.Bitio.Reader.get_bits r2 width))
+        with Failure _ -> None
+      in
+      bulk = one
+      && (bulk = None
+         || Support.Bitio.Reader.bit_position r1
+            = Support.Bitio.Reader.bit_position r2))
+
 let test_peek_past_end () =
   let r = Support.Bitio.Reader.of_string "\xff" in
   (* 8 real bits (all ones) then zero fill *)
@@ -445,6 +496,8 @@ let () =
           qcheck prop_bits_roundtrip;
           qcheck prop_put_bits_wide;
           qcheck prop_peek_advance_consistency;
+          qcheck prop_substring_reader;
+          qcheck prop_get_fields;
         ] );
       ( "heap",
         [

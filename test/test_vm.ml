@@ -326,6 +326,100 @@ int main() { leaf(1); leaf(2); leaf(3); return 0; }|} in
   (* entry (main) + three leaf calls *)
   Alcotest.(check int) "four events" 4 (List.length !calls)
 
+(* Return addresses hold a 10-bit function index. With 1025 functions,
+   main (index 1024) calling f0 would pack a return address that decodes
+   as f0's, returning into the wrong function; the interpreter must trap
+   instead. One function fewer fits and runs normally. *)
+let program_with_functions n =
+  let buf = Buffer.create (n * 40) in
+  for i = 0 to n - 2 do
+    Buffer.add_string buf (Printf.sprintf "int f%d(int x) { return x + %d; }\n" i i)
+  done;
+  Buffer.add_string buf "int main() { print_int(f0(41)); return 0; }\n";
+  compile (Buffer.contents buf)
+
+let test_trap_too_many_functions () =
+  let fits = program_with_functions 1024 in
+  Alcotest.(check string) "1024 functions run" "41"
+    (Vm.Interp.run fits).Vm.Interp.output;
+  let vp = program_with_functions 1025 in
+  Alcotest.(check int) "main is function 1024" 1024
+    (List.length vp.Vm.Isa.funcs - 1);
+  (* trapped up front, for the reason itself — not by whatever the
+     misdirected return happens to run into *)
+  match Vm.Interp.run vp with
+  | exception Vm.Interp.Runtime_error m ->
+    Alcotest.(check string) "trap names the limit"
+      "program has 1025 functions; return addresses hold at most 1024" m
+  | r ->
+    Alcotest.failf "1025 functions must trap, ran with output %S" r.Vm.Interp.output
+
+(* The repeats of [run_session] share one memory buffer, and each must
+   still start from all-zero memory: every repeat reads a large
+   initialized global, an uninitialized global array (both spanning
+   three 4 KiB pages, read in the middle one) and a never-written stack
+   slot, and only then writes all of them. *)
+let test_session_memory_fresh_per_repeat () =
+  let vp =
+    compile
+      "char big[12288] = \"abc\"; int a[3072];\n\
+       int peek() { int junk; return junk; }\n\
+       int poke() { int junk; junk = 5; return junk; }\n\
+       int main() { int i; int r;\n\
+      \  r = big[1] + big[6000] + a[1536] + peek(); print_int(r);\n\
+      \  for (i = 0; i < 12288; i = i + 1) big[i] = 7;\n\
+      \  for (i = 0; i < 3072; i = i + 1) a[i] = 9;\n\
+      \  poke(); return r; }"
+  in
+  let funcs = Array.of_list vp.Vm.Isa.funcs in
+  let frames = Array.map Vm.Interp.prepare_func funcs in
+  let code =
+    { Vm.Interp.names = Array.map (fun (f : Vm.Isa.vfunc) -> f.Vm.Isa.name) funcs;
+      globals = vp.Vm.Isa.globals;
+      fetch = (fun i -> frames.(i)) }
+  in
+  let once = Vm.Interp.run vp in
+  Alcotest.(check string) "fresh memory reads only the initializer"
+    (string_of_int (Char.code 'b')) once.Vm.Interp.output;
+  let last = Vm.Interp.run_session ~repeat:3 code in
+  Alcotest.(check string) "3rd repeat output" once.Vm.Interp.output
+    last.Vm.Interp.output;
+  Alcotest.(check int) "3rd repeat steps" once.Vm.Interp.steps
+    last.Vm.Interp.steps
+
+(* [func_size] counts bytes without building field lists; it must agree
+   with the field-list accounting on every instruction the code
+   generator emits, under every feature set. *)
+let test_func_size_matches_reference () =
+  let gen profile = (Corpus.Gen.generate profile).Corpus.Programs.source in
+  let sources =
+    List.map (fun (e : Corpus.Programs.entry) -> e.Corpus.Programs.source)
+      Corpus.Programs.all
+    @ [ gen Corpus.Gen.small;
+        gen { Corpus.Gen.functions = 80; seed = 101L; bias16 = false };
+        gen { Corpus.Gen.functions = 40; seed = 7L; bias16 = true } ]
+  in
+  List.iter
+    (fun src ->
+      let ir = Cc.Lower.compile src in
+      List.iter
+        (fun feats ->
+          let vp = Vm.Codegen.gen_program ~features:feats ir in
+          List.iter
+            (fun (f : Vm.Isa.vfunc) ->
+              List.iter
+                (fun i ->
+                  if Vm.Encode.encoded_size i <> Vm.Encode.Reference.encoded_size i
+                  then
+                    Alcotest.failf "encoded_size of %s" (Vm.Isa.instr_to_string i))
+                f.Vm.Isa.code;
+              Alcotest.(check int) f.Vm.Isa.name
+                (Vm.Encode.Reference.func_size f) (Vm.Encode.func_size f))
+            vp.Vm.Isa.funcs)
+        [ Vm.Isa.full_risc; Vm.Isa.minus_immediates; Vm.Isa.minus_reg_disp;
+          Vm.Isa.minimal ])
+    sources
+
 (* ---- exec core properties ---- *)
 
 let prop_alu_norm_range =
@@ -378,6 +472,8 @@ let () =
           Alcotest.test_case "base keys distinct" `Quick test_base_keys_distinct;
           Alcotest.test_case "paper byte counts" `Quick test_paper_sizes;
           Alcotest.test_case "shape codes" `Quick test_shape_code_roundtrip;
+          Alcotest.test_case "func_size = field-list reference" `Quick
+            test_func_size_matches_reference;
           Alcotest.test_case "program roundtrip" `Quick test_encode_decode_program;
           Alcotest.test_case "globals roundtrip" `Quick
             test_encode_decode_with_globals;
@@ -414,6 +510,10 @@ let () =
           Alcotest.test_case "abort traps" `Quick test_trap_abort;
           Alcotest.test_case "missing entry" `Quick test_missing_entry;
           Alcotest.test_case "call trace" `Quick test_on_call_trace;
+          Alcotest.test_case "more than 1024 functions trap" `Quick
+            test_trap_too_many_functions;
+          Alcotest.test_case "session memory fresh per repeat" `Quick
+            test_session_memory_fresh_per_repeat;
         ] );
       ( "exec",
         [

@@ -62,6 +62,24 @@ let prop_mtf_hashed_differential =
       a.Zip.Mtf.indices = b.Zip.Mtf.indices
       && a.Zip.Mtf.novel = b.Zip.Mtf.novel)
 
+(* [decode_ids] sizes its table from the novel bound: a tight bound
+   must still decode (the table grows past its first size) and a bound
+   one short must fail at the last novel symbol *)
+let prop_mtf_tight_novel_bound =
+  QCheck.Test.make ~name:"inverse mtf under a tight novel bound" ~count:200
+    QCheck.(pair (int_range 1 200) (list_of_size (Gen.int_range 1 600) (int_bound 1000)))
+    (fun (distinct, xs) ->
+      let xs = List.map (fun x -> x mod distinct) xs in
+      let ids, novel = Zip.Mtf.intern_hashed ~hash:Fun.id ~eq:Int.equal xs in
+      let z = List.length novel in
+      let idx = Zip.Mtf.encode_ids ids in
+      Zip.Mtf.decode_ids ~max_novel:z idx = ids
+      &&
+      match Zip.Mtf.decode_ids ~max_novel:(z - 1) idx with
+      | _ -> false
+      | exception Support.Decode_error.Fail e ->
+        e.Support.Decode_error.kind = Support.Decode_error.Inconsistent)
+
 (* ---- Huffman ---- *)
 
 let test_huffman_known_code () =
@@ -186,6 +204,47 @@ let prop_huffman_table_vs_slow =
           Zip.Huffman.decode_symbol dec r_fast = s
           && Zip.Huffman.decode_symbol_slow dec r_slow = s)
         syms)
+
+(* The counting-sort decoder tables against the retained list-sorting
+   construction, over arbitrary length vectors — not only the complete
+   codes [lengths_of_freqs] produces, but the all-zero, single-symbol,
+   incomplete and over-subscribed vectors a corrupt length table
+   decodes to. Structural equality covers every table, the root table
+   included. *)
+let check_decoder_tables lengths =
+  let code = { Zip.Huffman.lengths } in
+  Zip.Huffman.make_decoder code = Zip.Huffman.Reference.make_decoder code
+
+let test_huffman_decoder_tables_edges () =
+  List.iter
+    (fun (what, lengths) ->
+      Alcotest.(check bool) what true (check_decoder_tables lengths))
+    [
+      ("empty alphabet", [||]);
+      ("all zero", Array.make 286 0);
+      ("single symbol", Array.init 30 (fun i -> if i = 17 then 1 else 0));
+      ("single long symbol", Array.init 30 (fun i -> if i = 3 then 15 else 0));
+      ("incomplete", [| 2; 0; 3; 0; 0; 4 |]);
+      ("over-subscribed", [| 1; 1; 1; 2; 2; 3 |]);
+      ("over-subscribed past the root", Array.init 40 (fun i -> 1 + (i mod 14)));
+      ("all one length", Array.make 256 8);
+      ("max 5-bit lengths", Array.make 19 31);
+    ]
+
+let prop_huffman_decoder_tables =
+  QCheck.Test.make ~name:"make_decoder tables = reference tables" ~count:500
+    QCheck.(
+      list_of_size (Gen.int_range 0 300)
+        (make Gen.(frequency [ (3, return 0); (6, int_range 1 15); (1, int_range 16 31) ])))
+    (fun ls -> check_decoder_tables (Array.of_list ls))
+
+let prop_huffman_decoder_tables_built =
+  QCheck.Test.make ~name:"make_decoder tables = reference on built codes"
+    ~count:200
+    QCheck.(list_of_size (Gen.int_range 1 286) (int_bound 1000))
+    (fun freqs ->
+      check_decoder_tables
+        (Zip.Huffman.lengths_of_freqs (Array.of_list freqs)).Zip.Huffman.lengths)
 
 (* ---- LZ77 ---- *)
 
@@ -692,6 +751,7 @@ let () =
           qcheck prop_mtf_strings;
           qcheck prop_mtf_differential;
           qcheck prop_mtf_hashed_differential;
+          qcheck prop_mtf_tight_novel_bound;
         ] );
       ( "huffman",
         [
@@ -708,6 +768,10 @@ let () =
             test_huffman_table_vs_slow;
           qcheck prop_huffman_roundtrip;
           qcheck prop_huffman_table_vs_slow;
+          Alcotest.test_case "decoder tables vs reference (edges)" `Quick
+            test_huffman_decoder_tables_edges;
+          qcheck prop_huffman_decoder_tables;
+          qcheck prop_huffman_decoder_tables_built;
         ] );
       ( "lz77",
         [
